@@ -6,13 +6,24 @@
 // inclusive back-invalidation hooks and the bulk range-invalidation walk that
 // DELTA's remapping relies on.
 //
-// The array is stored structure-of-arrays: parallel tag/owner/sharer/recency
-// slices indexed by set*Ways+way, with per-set valid and dirty bitmasks. A
-// set's tags occupy one contiguous 64-byte span (8 ways × 8 bytes), so a
-// lookup touches a single cache line of tag storage plus the valid mask,
-// instead of striding across Ways pointer-heavy structs. Positions are
-// exposed to callers as flat indices ("flat index" below = set*Ways+way);
-// Line remains the value type handed to eviction hooks and predicates.
+// The array is stored structure-of-arrays: parallel tag/recency slices (and,
+// in LLC banks only, sharer/owner slices) indexed by set and way, with
+// per-set valid and dirty bitmasks and a packed recency order. A set's tags
+// occupy one contiguous 64-byte span (8 ways × 8 bytes), so a lookup miss
+// touches a single cache line of tag storage (the set's state group is read
+// only on a tag match), instead of striding across Ways pointer-heavy
+// structs. Positions are
+// exposed to callers as flat indices ("flat index" below = the tag word's
+// position, set*stride+way); Line remains the value type handed to eviction
+// hooks and predicates.
+//
+// Replacement is exact LRU. Every set keeps its ways in recency order in one
+// uint64, one 4-bit way id per position with the most recently used way in
+// the low nibble, so a hit promotes its way with a branch-free nibble search
+// and an unrestricted victim is read straight off the high end. This caps
+// associativity at 16 ways (the simulated hierarchy uses 8 and 16). Each
+// line also carries a recency stamp from a per-cache clock; the stamps are
+// what snapshots store, and the order is rebuilt from them on restore.
 //
 // Throughout the simulator addresses are *line addresses*: the byte address
 // shifted right by 6 (64-byte lines, Table II).
@@ -30,9 +41,18 @@ const LineBytes = 64
 // are private and do not track partitions).
 const NoOwner = -1
 
+// maxWays is the associativity cap: a set's recency order packs one 4-bit
+// way id per way into one uint64.
+const maxWays = 16
+
+// nibbles has a 1 in every nibble; it broadcasts a way id across an order
+// word for the nibble search.
+const nibbles = 0x1111111111111111
+
 // Line is one cache line's metadata, assembled on demand from the parallel
-// arrays. Sharers is only maintained for caches acting as LLC banks with an
-// in-cache directory.
+// arrays. Owner and Sharers are only stored by owner-tracking caches (LLC
+// banks with an in-cache directory); a private cache reports every valid
+// line as NoOwner with no sharers.
 //
 // Owner is the partition that *inserted* the line and is attribution-stable
 // for the line's lifetime: a hit from another partition never reattributes
@@ -87,34 +107,42 @@ func (s *Stats) MissRate() float64 {
 // accounting, and panics.
 type EvictFn func(line Line)
 
+// setState is one set's per-set state, kept together so an access touches
+// one 32-byte group: bit w of valid/dirty is way w, and order lists the
+// ways from most to least recently used, nibble p holding the way at
+// recency position p. Nibbles at positions >= Ways stay zero. Invalid ways
+// keep whatever position they had; only the relative order of valid ways
+// carries meaning.
+type setState struct {
+	valid, dirty, order uint64
+	_                   uint64 // pad to 32 bytes so a group never straddles a host cache line
+}
+
 // Cache is a single set-associative array in structure-of-arrays layout.
 // Not safe for concurrent use; the chip model serializes accesses within a
-// quantum. Ways is capped at 64 so a set's valid/dirty state and every way
-// mask fit one uint64.
+// quantum. Ways is capped at 16 so a set's recency order fits one uint64.
 type Cache struct {
 	Sets, Ways int
 
 	// words holds the per-set parallel slices, tiled so one set's state is
-	// one contiguous block of 4×Ways words:
-	// [tags | used stamps | sharers | owners]. A lookup scans the tag span
-	// and its stamp write lands a few cache lines later in the same block,
-	// and eviction assembles the departing Line from the tail of the same
-	// block, so the whole access rides one sequential stream instead of
-	// scattering point misses across separate arrays. Flat line indices
-	// returned by Lookup/Insert are positions of the *tag word*
-	// (set*stride + way); the matching stamp, sharer and owner words sit at
-	// fixed offsets +Ways, +2*Ways and +3*Ways. Owners are int16 values
-	// stored zero-extended from their uint16 bit pattern (so NoOwner = -1
-	// round-trips) to keep the block homogeneous.
+	// one contiguous block: [tags | used stamps] (2×Ways words) in private
+	// caches, [tags | used stamps | sharers | owners] (4×Ways words) in
+	// owner-tracking caches, the only ones with a directory. A lookup scans
+	// the tag span and its stamp write lands a few cache lines later in the
+	// same block. Flat line indices returned by Lookup/Insert are positions
+	// of the *tag word* (set*stride + way); the matching stamp, sharer and
+	// owner words sit at fixed offsets +Ways, +2*Ways and +3*Ways. Owners
+	// are int16 values stored zero-extended from their uint16 bit pattern
+	// (so NoOwner = -1 round-trips) to keep the block homogeneous.
 	words  []uint64
-	stride int // words per set block = 4*Ways
-	// Per-set state bitmasks: bit w of valid[s]/dirty[s] is way w of set s.
-	valid []uint64
-	dirty []uint64
+	stride int // words per set block: 2*Ways, or 4*Ways when tracking owners
+	sets   []setState
 
-	setMask uint64
-	allMask uint64 // mask of all ways, hoisted out of the access path
-	clk     uint64
+	setMask   uint64
+	allMask   uint64 // mask of all ways, hoisted out of the access path
+	orderMask uint64 // nibbles of the Ways order positions
+	lruShift  uint   // bit offset of the LRU position in an order word
+	clk       uint64
 
 	// occupancy[owner] counts valid lines per partition; only maintained when
 	// trackOwners is set (LLC banks).
@@ -143,10 +171,10 @@ type Config struct {
 }
 
 // New builds a cache. Geometry must be a power-of-two number of sets and at
-// most 64 ways (one uint64 of per-set state).
+// most 16 ways (one uint64 of packed recency order per set).
 func New(cfg Config) *Cache {
-	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > 64 {
-		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
+	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > maxWays {
+		panic(fmt.Sprintf("cache: invalid config %+v (ways must be 1..%d)", cfg, maxWays))
 	}
 	lines := cfg.SizeBytes / LineBytes
 	sets := lines / cfg.Ways
@@ -154,20 +182,29 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two (size %d, ways %d)",
 			sets, cfg.SizeBytes, cfg.Ways))
 	}
-	n := sets * cfg.Ways
-	c := &Cache{
-		Sets:    sets,
-		Ways:    cfg.Ways,
-		words:   make([]uint64, 4*n),
-		stride:  4 * cfg.Ways,
-		valid:   make([]uint64, sets),
-		dirty:   make([]uint64, sets),
-		setMask: uint64(sets - 1),
+	stride := 2 * cfg.Ways
+	if cfg.TrackOwners {
+		stride = 4 * cfg.Ways
 	}
-	if cfg.Ways == 64 {
-		c.allMask = ^uint64(0)
-	} else {
-		c.allMask = (uint64(1) << cfg.Ways) - 1
+	c := &Cache{
+		Sets:     sets,
+		Ways:     cfg.Ways,
+		words:    make([]uint64, sets*stride),
+		stride:   stride,
+		sets:     make([]setState, sets),
+		setMask:  uint64(sets - 1),
+		allMask:  uint64(1)<<cfg.Ways - 1,
+		lruShift: uint(4 * (cfg.Ways - 1)),
+	}
+	c.orderMask = uint64(1)<<(4*cfg.Ways) - 1 // 1<<64 is 0, so 16 ways gives all ones
+	// Start every set in way order; all ways are invalid, so any
+	// permutation would do.
+	var identity uint64
+	for w := cfg.Ways - 1; w >= 0; w-- {
+		identity = identity<<4 | uint64(w)
+	}
+	for i := range c.sets {
+		c.sets[i].order = identity
 	}
 	if cfg.TrackOwners {
 		if cfg.Partitions <= 0 {
@@ -189,13 +226,30 @@ func (c *Cache) SizeBytes() int { return c.Sets * c.Ways * LineBytes }
 func (c *Cache) findLine(setIdx int, lineAddr uint64) int {
 	base := setIdx * c.stride
 	tags := c.words[base : base+c.Ways : base+c.Ways]
-	vm := c.valid[setIdx]
 	for w := range tags {
-		if tags[w] == lineAddr && vm&(1<<uint(w)) != 0 {
+		if tags[w] == lineAddr && c.sets[setIdx].valid&(1<<uint(w)) != 0 {
 			return w
 		}
 	}
 	return -1
+}
+
+// promote moves way w to the most recently used position of a packed
+// order. w's position is found by broadcasting w to every nibble, XORing,
+// and locating the lowest zero nibble; the subtract-and-mask test can flag
+// spurious zeros only above a real one, and w occurs exactly once.
+func promote(order uint64, w int) uint64 {
+	x := order ^ uint64(w)*nibbles
+	z := (x - nibbles) &^ x & (nibbles << 3)
+	return promoteAt(order, w, uint(bits.TrailingZeros64(z))-3)
+}
+
+// promoteAt moves way w, found at bit offset shift (4×its position), to the
+// most recently used position; the ways in front of it age by one position.
+func promoteAt(order uint64, w int, shift uint) uint64 {
+	younger := order & (uint64(1)<<shift - 1)
+	older := order &^ (uint64(1)<<(shift+4) - 1) // shift+4 == 64 clears all
+	return older | younger<<4 | uint64(w)
 }
 
 // SetIndex returns the set an address maps to under the natural (low-bits)
@@ -226,43 +280,121 @@ func (c *Cache) LineAt(idx int) Line {
 // both and must not pay the division.
 func (c *Cache) lineAt(set, way int) Line {
 	base := set * c.stride
-	return Line{
-		Addr:    c.words[base+way],
-		Valid:   c.valid[set]&(1<<uint(way)) != 0,
-		Dirty:   c.dirty[set]&(1<<uint(way)) != 0,
-		Owner:   int16(uint16(c.words[base+3*c.Ways+way])),
-		used:    c.words[base+c.Ways+way],
-		Sharers: c.words[base+2*c.Ways+way],
-	}
-}
-
-// putLine overwrites the slot (set, way) with the given metadata; shared by
-// PutLineRaw and snapshot restoration.
-func (c *Cache) putLine(set, way int, ln Line) {
-	base := set * c.stride
-	c.words[base+way] = ln.Addr
-	c.words[base+c.Ways+way] = ln.used
-	c.words[base+2*c.Ways+way] = ln.Sharers
-	c.words[base+3*c.Ways+way] = uint64(uint16(ln.Owner))
+	st := &c.sets[set]
 	bit := uint64(1) << uint(way)
-	if ln.Valid {
-		c.valid[set] |= bit
-	} else {
-		c.valid[set] &^= bit
+	ln := Line{
+		Addr:  c.words[base+way],
+		Valid: st.valid&bit != 0,
+		Dirty: st.dirty&bit != 0,
+		used:  c.words[base+c.Ways+way],
 	}
-	if ln.Dirty {
-		c.dirty[set] |= bit
-	} else {
-		c.dirty[set] &^= bit
+	if c.trackOwners {
+		ln.Owner = int16(uint16(c.words[base+3*c.Ways+way]))
+		ln.Sharers = c.words[base+2*c.Ways+way]
+	} else if ln.Valid {
+		ln.Owner = NoOwner
 	}
+	return ln
 }
 
 // PutLineRaw overwrites the slot at a flat index with the given metadata,
-// bypassing LRU, statistics and occupancy bookkeeping. It exists for
-// snapshot restoration and for tests that deliberately corrupt state to
-// prove the invariant sweep fires; the access path never uses it.
+// bypassing statistics and occupancy bookkeeping, and re-derives the set's
+// recency order from the stamps. Private caches store no owner or sharer
+// words, so they ignore those fields. It exists for tests that deliberately
+// corrupt state to prove the invariant sweep fires; the access path never
+// uses it.
 func (c *Cache) PutLineRaw(idx int, ln Line) {
-	c.putLine(idx/c.stride, idx%c.stride, ln)
+	set, way := idx/c.stride, idx%c.stride
+	base := set * c.stride
+	c.words[base+way] = ln.Addr
+	c.words[base+c.Ways+way] = ln.used
+	if c.trackOwners {
+		c.words[base+2*c.Ways+way] = ln.Sharers
+		c.words[base+3*c.Ways+way] = uint64(uint16(ln.Owner))
+	}
+	st := &c.sets[set]
+	bit := uint64(1) << uint(way)
+	st.valid &^= bit
+	st.dirty &^= bit
+	if ln.Valid {
+		st.valid |= bit
+	}
+	if ln.Dirty {
+		st.dirty |= bit
+	}
+	c.rebuildOrder(set)
+}
+
+// rebuildOrder derives a set's recency order from its stamps: valid ways by
+// descending stamp, ties broken toward the higher way, so the LRU walk
+// picks the lowest of tied ways, as a lowest-stamp scan in way order would.
+// Invalid ways rank as stamp 0; their positions are never consulted. It
+// allocates nothing.
+func (c *Cache) rebuildOrder(set int) {
+	base := set*c.stride + c.Ways
+	stamps := c.words[base : base+c.Ways : base+c.Ways]
+	valid := c.sets[set].valid
+	// Insertion sort, newest first. Ways arrive in ascending order, so a
+	// way passes every earlier way with an equal key.
+	var keys [maxWays]uint64
+	var ways [maxWays]uint8
+	for w, stamp := range stamps {
+		if valid&(1<<uint(w)) == 0 {
+			stamp = 0
+		}
+		p := w
+		for ; p > 0 && keys[p-1] <= stamp; p-- {
+			keys[p], ways[p] = keys[p-1], ways[p-1]
+		}
+		keys[p], ways[p] = stamp, uint8(w)
+	}
+	var order uint64
+	for p := c.Ways - 1; p >= 0; p-- {
+		order = order<<4 | uint64(ways[p])
+	}
+	c.sets[set].order = order
+}
+
+// OrderAt returns the packed recency order of a set (nibble p = the way at
+// recency position p, most recent first).
+func (c *Cache) OrderAt(set int) uint64 { return c.sets[set].order }
+
+// PutOrderRaw overwrites a set's packed recency order. Like PutLineRaw it
+// exists only for tests that corrupt state to prove the invariant sweep
+// catches it.
+func (c *Cache) PutOrderRaw(set int, order uint64) { c.sets[set].order = order }
+
+// CheckOrder verifies every set's recency order: its first Ways nibbles are
+// a permutation of the set's ways, the unused nibbles are zero, and the
+// valid ways appear in strictly descending stamp order — the order LRU
+// victim choice relies on. It returns the first violation found.
+func (c *Cache) CheckOrder() error {
+	for set := range c.sets {
+		st := &c.sets[set]
+		if st.order&^c.orderMask != 0 {
+			return fmt.Errorf("set %d recency order %#x has nibbles beyond %d ways", set, st.order, c.Ways)
+		}
+		base := set*c.stride + c.Ways
+		var seen uint64
+		prev, prevWay := ^uint64(0), -1
+		for p := 0; p < c.Ways; p++ {
+			w := int(st.order >> uint(4*p) & 0xF)
+			if w >= c.Ways || seen>>uint(w)&1 != 0 {
+				return fmt.Errorf("set %d recency order %#x is not a permutation of %d ways", set, st.order, c.Ways)
+			}
+			seen |= 1 << uint(w)
+			if st.valid>>uint(w)&1 == 0 {
+				continue
+			}
+			stamp := c.words[base+w]
+			if stamp >= prev {
+				return fmt.Errorf("set %d recency order %#x ranks way %d (stamp %d) ahead of way %d (stamp %d)",
+					set, st.order, prevWay, prev, w, stamp)
+			}
+			prev, prevWay = stamp, w
+		}
+	}
+	return nil
 }
 
 // Lookup searches for the line and, on a hit, refreshes its recency, marks
@@ -277,14 +409,16 @@ func (c *Cache) LookupIdx(setIdx int, lineAddr uint64, write bool) (int, bool) {
 	c.Stats.Accesses++
 	base := setIdx * c.stride
 	tags := c.words[base : base+c.Ways : base+c.Ways]
-	vm := c.valid[setIdx]
 	for w := range tags {
-		if tags[w] == lineAddr && vm&(1<<uint(w)) != 0 {
+		// The valid mask is read only on a tag match, so a miss touches
+		// nothing but the tag span.
+		if st := &c.sets[setIdx]; tags[w] == lineAddr && st.valid&(1<<uint(w)) != 0 {
 			idx := base + w
 			c.clk++
 			c.words[idx+c.Ways] = c.clk
+			st.order = promote(st.order, w)
 			if write {
-				c.dirty[setIdx] |= 1 << uint(w)
+				st.dirty |= 1 << uint(w)
 			}
 			c.Stats.Hits++
 			return idx, true
@@ -336,99 +470,106 @@ func (c *Cache) AllMask() uint64 { return c.allMask }
 
 // OrSharers sets directory sharer bits on the line at a flat index. The hot
 // path uses it right after Lookup/Insert so the set is never walked twice.
-func (c *Cache) OrSharers(idx int, bit uint64) { c.words[idx+2*c.Ways] |= bit }
-
-// SharersAt returns the directory sharer bits of the line at a flat index.
-func (c *Cache) SharersAt(idx int) uint64 { return c.words[idx+2*c.Ways] }
+// Only owner-tracking caches hold a directory; a private cache panics.
+func (c *Cache) OrSharers(idx int, bit uint64) {
+	if !c.trackOwners {
+		panic("cache: OrSharers on a cache without a directory (TrackOwners off)")
+	}
+	c.words[idx+2*c.Ways] |= bit
+}
 
 // Insert places a line, choosing a victim only among ways enabled in mask
-// (way-partitioned insertion). It returns the flat index of the inserted
+// (way-partitioned insertion), and returns the flat index of the inserted
 // line (callers that need to stamp directory bits use it instead of
-// re-walking the set), plus the evicted line if a valid one was displaced.
-// The line is inserted owned by owner and clean unless write. Insert panics
-// if mask selects no way; the enforcement layer guarantees a partition never
-// inserts without owning capacity.
-func (c *Cache) Insert(lineAddr uint64, owner int, write bool, mask uint64) (int, Line, bool) {
+// re-walking the set). A displaced valid line is reported to OnEvict. The
+// line is inserted owned by owner — recorded only by owner-tracking caches —
+// and clean unless write. Insert panics if mask selects no way; the
+// enforcement layer guarantees a partition never inserts without owning
+// capacity.
+func (c *Cache) Insert(lineAddr uint64, owner int, write bool, mask uint64) int {
 	return c.InsertIdx(c.SetIndex(lineAddr), lineAddr, owner, write, mask)
 }
 
 // InsertIdx is Insert with an explicit set index.
-func (c *Cache) InsertIdx(setIdx int, lineAddr uint64, owner int, write bool, mask uint64) (int, Line, bool) {
+func (c *Cache) InsertIdx(setIdx int, lineAddr uint64, owner int, write bool, mask uint64) int {
 	c.guardMutation()
 	mask &= c.allMask
 	if mask == 0 {
 		panic("cache: insertion with empty way mask")
 	}
-	base := setIdx * c.stride
-	validMask := c.valid[setIdx]
-	// Prefer the lowest-numbered invalid allowed way; otherwise the LRU
-	// (lowest recency stamp — stamps are unique, so the victim is exact).
+	st := &c.sets[setIdx]
+	// Prefer the lowest-numbered invalid allowed way; otherwise the least
+	// recently used allowed way. The victim moves to the MRU position.
 	var victim int
-	if inv := mask &^ validMask; inv != 0 {
+	var order uint64
+	if inv := mask &^ st.valid; inv != 0 {
 		victim = bits.TrailingZeros64(inv)
-	} else if used := c.words[base+c.Ways : base+2*c.Ways : base+2*c.Ways]; mask == c.allMask {
-		// Unrestricted insertion (private caches, shared policies): a plain
-		// linear min-scan over the contiguous stamp span, no bit iteration.
-		victim = 0
-		oldest := used[0]
-		for w := 1; w < len(used); w++ {
-			if used[w] < oldest {
-				oldest = used[w]
+		order = promote(st.order, victim)
+	} else if mask == c.allMask {
+		// Unrestricted insertion (private caches, shared policies): the
+		// victim is the LRU nibble, and every other way ages one position.
+		victim = int(st.order >> c.lruShift)
+		order = st.order<<4&c.orderMask | uint64(victim)
+	} else {
+		// Masked insertion: the first allowed way walking from the LRU end.
+		victim = -1
+		for shift := int(c.lruShift); shift >= 0; shift -= 4 {
+			if w := int(st.order>>uint(shift)) & 0xF; mask>>uint(w)&1 != 0 {
 				victim = w
+				order = promoteAt(st.order, w, uint(shift))
+				break
 			}
 		}
-	} else {
-		victim = -1
-		var oldest uint64 = ^uint64(0)
-		for m := mask; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			if used[w] < oldest {
-				oldest = used[w]
-				victim = w
-			}
+		if victim < 0 {
+			panic(fmt.Sprintf("cache: set %d recency order %#x lists no way of mask %#x", setIdx, st.order, mask))
 		}
 	}
-	vIdx := base + victim
+	vIdx := setIdx*c.stride + victim
 	vBit := uint64(1) << uint(victim)
-	var evicted Line
-	hadVictim := false
-	if validMask&vBit != 0 {
-		evicted = c.lineAt(setIdx, victim)
-		hadVictim = true
+	if st.valid&vBit != 0 {
 		c.Stats.Evictions++
-		if evicted.Dirty {
+		if st.dirty&vBit != 0 {
 			c.Stats.DirtyEvicts++
 		}
-		c.noteRemoval(evicted)
-		c.fireEvict(evicted)
+		if c.OnEvict != nil || c.trackOwners {
+			evicted := c.lineAt(setIdx, victim)
+			c.noteRemoval(evicted)
+			c.fireEvict(evicted)
+		}
 	}
 	c.clk++
 	c.words[vIdx] = lineAddr
 	c.words[vIdx+c.Ways] = c.clk
-	c.words[vIdx+2*c.Ways] = 0
-	c.words[vIdx+3*c.Ways] = uint64(uint16(int16(owner)))
-	c.valid[setIdx] |= vBit
-	if write {
-		c.dirty[setIdx] |= vBit
-	} else {
-		c.dirty[setIdx] &^= vBit
+	if c.trackOwners {
+		c.words[vIdx+2*c.Ways] = 0
+		c.words[vIdx+3*c.Ways] = uint64(uint16(int16(owner)))
+		c.noteInsert(owner)
 	}
-	c.noteInsert(owner)
-	return vIdx, evicted, hadVictim
+	st.order = order
+	st.valid |= vBit
+	if write {
+		st.dirty |= vBit
+	} else {
+		st.dirty &^= vBit
+	}
+	return vIdx
 }
 
 // clearSlot zeroes every per-line field of a slot and drops its valid/dirty
-// bits, matching what overwriting with a zero Line did in the AoS layout
-// (snapshots dump invalid slots too, so the stored bytes must stay zero).
+// bits (snapshots dump invalid slots too, so the stored words must stay
+// zero). The way keeps its recency position: invalid ways are always
+// preferred victims, so their position is never consulted.
 func (c *Cache) clearSlot(setIdx, way int) {
 	base := setIdx * c.stride
 	c.words[base+way] = 0
 	c.words[base+c.Ways+way] = 0
-	c.words[base+2*c.Ways+way] = 0
-	c.words[base+3*c.Ways+way] = 0
+	if c.trackOwners {
+		c.words[base+2*c.Ways+way] = 0
+		c.words[base+3*c.Ways+way] = 0
+	}
 	bit := uint64(1) << uint(way)
-	c.valid[setIdx] &^= bit
-	c.dirty[setIdx] &^= bit
+	c.sets[setIdx].valid &^= bit
+	c.sets[setIdx].dirty &^= bit
 }
 
 // InvalidateLine removes a specific line if present, returning its metadata.
@@ -464,8 +605,8 @@ func (c *Cache) InvalidateMatching(pred func(line Line) bool) int {
 	c.Stats.BulkWalks++
 	c.walking = true
 	n := 0
-	for set := 0; set < c.Sets; set++ {
-		for m := c.valid[set]; m != 0; m &= m - 1 {
+	for set := range c.sets {
+		for m := c.sets[set].valid; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
 			ln := c.lineAt(set, w)
 			if !pred(ln) {
@@ -490,18 +631,22 @@ func (c *Cache) InvalidateMatching(pred func(line Line) bool) int {
 // thread moves tiles its partition follows it, so the lines it placed keep
 // serving hits under the new partition id instead of being flushed. The walk
 // models the same range engine as InvalidateMatching; callers charge latency.
+// A private cache records no owners and relabels nothing.
 func (c *Cache) ReassignOwner(old, new int) int {
 	c.guardMutation()
 	if old == new {
 		return 0
 	}
 	c.Stats.BulkWalks++
+	if !c.trackOwners {
+		return 0
+	}
 	oldWord := uint64(uint16(int16(old)))
 	newWord := uint64(uint16(int16(new)))
 	n := 0
-	for set := 0; set < c.Sets; set++ {
+	for set := range c.sets {
 		base := set * c.stride
-		for m := c.valid[set]; m != 0; m &= m - 1 {
+		for m := c.sets[set].valid; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
 			if c.words[base+3*c.Ways+w] != oldWord {
 				continue
@@ -510,7 +655,7 @@ func (c *Cache) ReassignOwner(old, new int) int {
 			n++
 		}
 	}
-	if c.trackOwners && n > 0 {
+	if n > 0 {
 		if old >= 0 && old < len(c.occupancy) {
 			c.occupancy[old] -= uint64(n)
 		}
@@ -538,8 +683,8 @@ func (c *Cache) Occupancy(owner int) uint64 {
 // ValidLines returns the total number of valid lines.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for _, m := range c.valid {
-		n += bits.OnesCount64(m)
+	for i := range c.sets {
+		n += bits.OnesCount64(c.sets[i].valid)
 	}
 	return n
 }
@@ -548,9 +693,9 @@ func (c *Cache) ValidLines() int {
 // Mutation during the walk is not allowed; use PutLineRaw afterwards with a
 // recorded index where a test needs to alter a visited line.
 func (c *Cache) ForEachLine(fn func(idx int, ln Line)) {
-	for set := 0; set < c.Sets; set++ {
+	for set := range c.sets {
 		base := set * c.stride
-		for m := c.valid[set]; m != 0; m &= m - 1 {
+		for m := c.sets[set].valid; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
 			fn(base+w, c.lineAt(set, w))
 		}

@@ -12,6 +12,18 @@ func small() *Cache {
 	return New(Config{SizeBytes: 1024, Ways: 4})
 }
 
+// insertEvict inserts like Insert and reports the line it displaced, caught
+// through OnEvict (Insert itself returns only the new line's index).
+func insertEvict(c *Cache, addr uint64, owner int, write bool, mask uint64) (int, Line, bool) {
+	var ev Line
+	had := false
+	prev := c.OnEvict
+	c.OnEvict = func(ln Line) { ev, had = ln, true }
+	idx := c.Insert(addr, owner, write, mask)
+	c.OnEvict = prev
+	return idx, ev, had
+}
+
 func TestGeometry(t *testing.T) {
 	c := New(Config{SizeBytes: 512 * 1024, Ways: 16})
 	if c.Sets != 512 {
@@ -56,7 +68,7 @@ func TestLRUVictim(t *testing.T) {
 	c.Lookup(0, false)
 	c.Lookup(8, false)
 	c.Lookup(12, false)
-	_, ev, had := c.Insert(16, NoOwner, false, c.AllMask())
+	_, ev, had := insertEvict(c, 16, NoOwner, false, c.AllMask())
 	if !had || ev.Addr != 4 {
 		t.Fatalf("evicted %+v, want addr 4", ev)
 	}
@@ -68,21 +80,22 @@ func TestLRUVictim(t *testing.T) {
 func TestInsertPrefersInvalidWay(t *testing.T) {
 	c := small()
 	c.Insert(0, NoOwner, false, c.AllMask())
-	_, _, had := c.Insert(4, NoOwner, false, c.AllMask())
+	_, _, had := insertEvict(c, 4, NoOwner, false, c.AllMask())
 	if had {
 		t.Fatal("evicted despite free ways")
 	}
 }
 
 func TestWayMaskRestrictsVictims(t *testing.T) {
-	c := small()
+	// Owners are recorded only by owner-tracking caches (LLC banks).
+	c := New(Config{SizeBytes: 1024, Ways: 4, TrackOwners: true, Partitions: 2})
 	// Fill set 0 with owners: ways get filled in mask order.
 	c.Insert(0, 0, false, 0b0011)
 	c.Insert(4, 0, false, 0b0011)
 	c.Insert(8, 1, false, 0b1100)
 	c.Insert(12, 1, false, 0b1100)
 	// Partition 0 inserts again: must evict one of its own lines.
-	_, ev, had := c.Insert(16, 0, false, 0b0011)
+	_, ev, had := insertEvict(c, 16, 0, false, 0b0011)
 	if !had {
 		t.Fatal("expected eviction")
 	}
@@ -249,13 +262,13 @@ func TestSingleWayMaskProperty(t *testing.T) {
 	f := func(way uint8, addr uint16) bool {
 		c := New(Config{SizeBytes: 1024, Ways: 4})
 		w := int(way) % 4
-		idx, _, _ := c.Insert(uint64(addr), NoOwner, false, 1<<w)
+		idx := c.Insert(uint64(addr), NoOwner, false, 1<<w)
 		if c.WayOf(idx) != w {
 			return false
 		}
 		// Reinsert a colliding address with the same mask: the first line
 		// must be the victim (only that way is allowed).
-		_, ev, had := c.Insert(uint64(addr)+4096, NoOwner, false, 1<<w)
+		_, ev, had := insertEvict(c, uint64(addr)+4096, NoOwner, false, 1<<w)
 		return had && ev.Addr == uint64(addr)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -3,6 +3,8 @@ package cache
 import (
 	"reflect"
 	"testing"
+
+	"delta/internal/snapshot"
 )
 
 // churn drives a deterministic mixed workload — lookups, masked inserts,
@@ -19,7 +21,7 @@ func churn(c *Cache, seed uint64, ops int) {
 		case 0:
 			c.InvalidateLine(addr)
 		case 1:
-			if idx, ok := c.Lookup(addr, write); ok {
+			if idx, ok := c.Lookup(addr, write); ok && c.TracksOwners() {
 				c.OrSharers(idx, 1<<uint(owner))
 			}
 		default:
@@ -27,10 +29,10 @@ func churn(c *Cache, seed uint64, ops int) {
 			if (x>>16)&3 == 0 {
 				mask = 0xF << uint(owner) // masked insert exercises WayMask paths
 			}
-			if idx, ok := c.Lookup(addr, write); ok {
-				c.OrSharers(idx, 1<<uint(owner))
-			} else {
+			if idx, ok := c.Lookup(addr, write); !ok {
 				c.Insert(addr, owner, write, mask)
+			} else if c.TracksOwners() {
+				c.OrSharers(idx, 1<<uint(owner))
 			}
 		}
 	}
@@ -88,5 +90,85 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := New(Config{SizeBytes: 16 * 1024, Ways: 8}).Restore(snap); err == nil {
 		t.Fatal("occupancy snapshot accepted by owner-tracking-off cache")
+	}
+}
+
+// TestRebuiltOrderBreaksStampTiesByLowestWay: the order rebuilt from stamps
+// must pick the victim a lowest-stamp scan in way order would, including
+// among equal stamps, which only hand-built state can hold.
+func TestRebuiltOrderBreaksStampTiesByLowestWay(t *testing.T) {
+	c := New(Config{SizeBytes: 4 * LineBytes, Ways: 4}) // one set
+	for a := uint64(0); a < 4; a++ {
+		c.Insert(a, NoOwner, false, c.AllMask())
+	}
+	for w := 0; w < 4; w++ {
+		ln := c.LineAt(w)
+		ln.used = 7
+		if w == 0 {
+			ln.used = 9 // way 0 is newest; ways 1-3 tie for LRU
+		}
+		c.PutLineRaw(w, ln)
+	}
+	if idx := c.Insert(10, NoOwner, false, c.AllMask()); c.WayOf(idx) != 1 {
+		t.Fatalf("unrestricted victim way %d, want 1", c.WayOf(idx))
+	}
+	if idx := c.Insert(11, NoOwner, false, 0b1101); c.WayOf(idx) != 2 {
+		t.Fatalf("masked victim way %d, want 2", c.WayOf(idx))
+	}
+}
+
+// TestPrivateRestoreRejectsDirectoryWords: a private cache stores no owner
+// or sharer words, so it accepts only the values its own snapshots carry
+// (NoOwner for valid lines, 0 elsewhere, no sharers) and refuses the rest
+// instead of dropping them.
+func TestPrivateRestoreRejectsDirectoryWords(t *testing.T) {
+	src := New(Config{SizeBytes: 16 * 1024, Ways: 8})
+	for a := uint64(0); a < 100; a++ {
+		src.Insert(a*3, NoOwner, a%2 == 0, src.AllMask())
+	}
+	snap := src.Snapshot()
+	if err := New(Config{SizeBytes: 16 * 1024, Ways: 8}).Restore(snap); err != nil {
+		t.Fatalf("own snapshot rejected: %v", err)
+	}
+	valid, invalid := -1, -1
+	for i, f := range snap.Flags {
+		if f&1 != 0 && valid < 0 {
+			valid = i
+		}
+		if f&1 == 0 && invalid < 0 {
+			invalid = i
+		}
+	}
+	for name, corrupt := range map[string]func(s *snapshot.Cache){
+		"owner on valid line":   func(s *snapshot.Cache) { s.Owners[valid] = 2 },
+		"owner on invalid line": func(s *snapshot.Cache) { s.Owners[invalid] = NoOwner },
+		"sharers":               func(s *snapshot.Cache) { s.Sharers[valid] = 1 },
+	} {
+		bad := src.Snapshot()
+		corrupt(&bad)
+		if err := New(Config{SizeBytes: 16 * 1024, Ways: 8}).Restore(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestRestoreAllocatesNothing: resuming rebuilds every set's recency order
+// in place.
+func TestRestoreAllocatesNothing(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 16 * 1024, Ways: 8},
+		{SizeBytes: 16 * 1024, Ways: 16, TrackOwners: true, Partitions: 4},
+	} {
+		src := New(cfg)
+		churn(src, 3, 3000)
+		snap := src.Snapshot()
+		dst := New(cfg)
+		if n := testing.AllocsPerRun(10, func() {
+			if err := dst.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("%+v: Restore allocates %.0f times", cfg, n)
+		}
 	}
 }

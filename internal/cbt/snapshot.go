@@ -17,23 +17,24 @@ func (t *Table) Snapshot() snapshot.CBT {
 }
 
 // FromSnapshot rebuilds a table from serialized ranges, re-validating the
-// structural invariants Build guarantees: sorted, non-empty, contiguous
-// ranges covering exactly [0, NumBuckets) with no bank repeated.
+// structural invariants every builder guarantees: sorted, non-empty,
+// contiguous ranges covering exactly [0, NumBuckets), each a maximal run
+// (adjacent ranges map to different banks). A bank may own several runs:
+// BuildIncremental moves single buckets, so its tables are not one range
+// per bank.
 func FromSnapshot(s snapshot.CBT) (*Table, error) {
 	if len(s.Ranges) == 0 {
 		return nil, fmt.Errorf("cbt: snapshot table has no ranges")
 	}
 	t := &Table{ranges: make([]Range, len(s.Ranges))}
 	pos := 0
-	seen := make(map[int]bool, len(s.Ranges))
 	for i, r := range s.Ranges {
 		if r.Start != pos || r.End <= r.Start || r.End > NumBuckets {
 			return nil, fmt.Errorf("cbt: snapshot range %d [%d,%d) is not contiguous from %d", i, r.Start, r.End, pos)
 		}
-		if seen[r.Bank] {
-			return nil, fmt.Errorf("cbt: snapshot bank %d appears in more than one range", r.Bank)
+		if i > 0 && s.Ranges[i-1].Bank == r.Bank {
+			return nil, fmt.Errorf("cbt: snapshot ranges %d and %d both map bank %d (runs must be maximal)", i-1, i, r.Bank)
 		}
-		seen[r.Bank] = true
 		t.ranges[i] = Range{Start: r.Start, End: r.End, Bank: r.Bank}
 		for b := r.Start; b < r.End; b++ {
 			t.dense[b] = int16(r.Bank)

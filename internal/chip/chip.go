@@ -956,7 +956,7 @@ func (c *Chip) access(i int, line uint64, write bool) uint64 {
 		owner = cache.NoOwner
 		c.Stats.SharedInserts++
 	}
-	ins, _, _ := bt.LLC.InsertIdx(setIdx, line, owner, write, mask)
+	ins := bt.LLC.InsertIdx(setIdx, line, owner, write, mask)
 	c.markSharer(bt, ins, i)
 	c.fillPrivate(t, line, write)
 	return lat

@@ -44,6 +44,8 @@ type ExclusivePartitioner interface {
 //     and LLC bank;
 //   - per-partition occupancy accounting equals a recount of valid lines by
 //     owner in every bank;
+//   - every L1, L2 and LLC set's packed recency order is a permutation of
+//     its ways that ranks the valid ways by their recency stamps;
 //   - way-partitioning masks cover every way of every bank, and are pairwise
 //     disjoint under exclusive-partitioning policies;
 //   - every CBT maps every bucket to exactly one existing bank;
@@ -77,6 +79,9 @@ func (c *Chip) CheckInvariants(point string) {
 		add(invariant.CheckCacheStats(fmt.Sprintf("tile %d L2", b), t.L2.Stats))
 		add(invariant.CheckCacheStats(fmt.Sprintf("bank %d LLC", b), t.LLC.Stats))
 		add(invariant.CheckOccupancy(fmt.Sprintf("bank %d", b), t.LLC))
+		add(invariant.CheckRecency(fmt.Sprintf("tile %d L1", b), t.L1))
+		add(invariant.CheckRecency(fmt.Sprintf("tile %d L2", b), t.L2))
+		add(invariant.CheckRecency(fmt.Sprintf("bank %d LLC", b), t.LLC))
 		for core := range masks {
 			masks[core] = c.policy.WayMask(core, b)
 		}

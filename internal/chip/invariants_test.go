@@ -317,6 +317,29 @@ func TestSweepCatchesOwnerCorruption(t *testing.T) {
 	})
 }
 
+func TestSweepCatchesRecencyOrderCorruption(t *testing.T) {
+	c := checkedChip(t, nil)
+	l2 := c.Tiles[1].L2
+	// Swap the two most recent positions of a full set: the order stays a
+	// permutation but ranks two valid lines against their stamps.
+	valid := make([]int, l2.Sets)
+	l2.ForEachLine(func(idx int, _ cache.Line) { valid[l2.SetOf(idx)]++ })
+	set := -1
+	for s, n := range valid {
+		if n == l2.Ways {
+			set = s
+			break
+		}
+	}
+	if set < 0 {
+		t.Skip("core 1 L2 has no full set")
+	}
+	expectViolation(t, c, "recency order", func() {
+		o := l2.OrderAt(set)
+		l2.PutOrderRaw(set, o&^0xFF|o&0xF<<4|o>>4&0xF)
+	})
+}
+
 func TestSweepCatchesDuplicateResidency(t *testing.T) {
 	c := checkedChip(t, nil)
 	idx := anyLine(c.Tiles[0].LLC, func(cache.Line) bool { return true })

@@ -93,10 +93,14 @@ func (c *Core) AdvanceNonMem(n int) {
 func (c *Core) Memory(lat uint64) {
 	c.Stats.Instructions++
 	c.Stats.MemAccesses++
-	// The access consumes a dispatch slot like any instruction.
+	// The access consumes a dispatch slot like any instruction. Slots carry
+	// into the clock only once they fill a cycle, so the division is
+	// skipped until then.
 	c.dispatchQ++
-	c.cycle += c.dispatchQ / uint64(c.cfg.DispatchWidth)
-	c.dispatchQ %= uint64(c.cfg.DispatchWidth)
+	if c.dispatchQ >= uint64(c.cfg.DispatchWidth) {
+		c.cycle += c.dispatchQ / uint64(c.cfg.DispatchWidth)
+		c.dispatchQ %= uint64(c.cfg.DispatchWidth)
+	}
 
 	if lat <= c.cfg.HideLatency {
 		return

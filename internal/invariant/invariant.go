@@ -102,6 +102,18 @@ func CheckOccupancy(label string, c *cache.Cache) error {
 	return nil
 }
 
+// CheckRecency validates every set's packed LRU order in a cache: a
+// permutation of the set's ways that ranks the valid ways by their recency
+// stamps. Victim choice reads the order, never the stamps, so an order that
+// drifted from the stamps would evict the wrong line without any other
+// symptom (and a snapshot, which stores only stamps, would not reproduce it).
+func CheckRecency(label string, c *cache.Cache) error {
+	if err := c.CheckOrder(); err != nil {
+		return fmt.Errorf("%s: %w", label, err)
+	}
+	return nil
+}
+
 // CheckCacheStats validates the counter conservation law of one cache:
 // every access is either a hit or a miss, nothing else.
 func CheckCacheStats(label string, s cache.Stats) error {

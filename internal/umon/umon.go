@@ -44,7 +44,9 @@ type Monitor struct {
 	buckets int
 	scale   float64 // multiply sampled counts to estimate full-cache counts
 
-	// stacks[i] is the LRU stack (most-recent first) for sampled set i.
+	// stacks[i] is the LRU stack (most-recent first) for sampled set i: a
+	// capacity-MaxWays window of one shared backing slab, so appends never
+	// reallocate or spill into the next set's window.
 	stacks [][]uint64
 
 	// Cumulative counters; Epoch() snapshots and diffs them.
@@ -79,8 +81,10 @@ func New(cfg Config) *Monitor {
 		hits:     make([]float64, buckets),
 		lastHits: make([]float64, buckets),
 	}
+	slab := make([]uint64, nSampled*cfg.MaxWays)
 	for i := range m.stacks {
-		m.stacks[i] = make([]uint64, 0, cfg.MaxWays)
+		lo := i * cfg.MaxWays
+		m.stacks[i] = slab[lo : lo : lo+cfg.MaxWays]
 	}
 	return m
 }

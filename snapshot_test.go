@@ -339,3 +339,61 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 	})
 }
+
+// TestSnapshotRestore64CoreSplitTables: a 64-core fast-forwarded DELTA run
+// restores from an encoded mid-run snapshot and ends at the uninterrupted
+// run's fingerprint. Compressed intervals make DELTA reconfigure often
+// enough that, at the cut, incremental CBT rebuilds have split some bank
+// into several ranges — the table shape restores used to reject.
+func TestSnapshotRestore64CoreSplitTables(t *testing.T) {
+	mk := func() *Simulator {
+		sim, err := New(WithCores(64), WithPolicy(PolicyDelta), WithWarmup(1000), WithBudget(4000),
+			WithSeed(3), WithFastForward(true), WithTimeCompression(500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.LoadMix("w13")
+		return sim
+	}
+	ref := mk()
+	if _, err := ref.RunCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Fingerprint()
+
+	sim := mk()
+	runToBoundary(t, sim, 60)
+	snap, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	split := false
+	for _, tbl := range snap.env.Chip.Policy.Delta.Tables {
+		seen := map[int]bool{}
+		for _, r := range tbl.Ranges {
+			split = split || seen[r.Bank]
+			seen[r.Bank] = true
+		}
+	}
+	if !split {
+		t.Fatal("no CBT splits a bank at the cut; the test no longer covers split tables")
+	}
+	data, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Restore(decoded)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if _, err := resumed.RunCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Fingerprint(); got != want {
+		t.Fatalf("restored 64-core run fingerprint diverged\n got %s\nwant %s", got, want)
+	}
+}
